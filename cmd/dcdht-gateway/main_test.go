@@ -65,10 +65,15 @@ func TestFlagHelp(t *testing.T) {
 	if code != 0 {
 		t.Errorf("-h: exit %d, want 0 (flag.ExitOnError help)", code)
 	}
-	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-cooldown", "-poll", "-log-format"} {
+	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-cooldown", "-cooldown-after", "-seed", "-log-format"} {
 		if !strings.Contains(stderr, flagName) {
 			t.Errorf("-h output missing %s:\n%s", flagName, stderr)
 		}
+	}
+	// Coalesced waiters wake on their flight's completion; there is no
+	// re-check interval left to tune.
+	if strings.Contains(stderr, "-poll") {
+		t.Errorf("-h output still lists the removed -poll flag:\n%s", stderr)
 	}
 }
 

@@ -18,9 +18,10 @@
 // waiter's floor, so read-your-writes survives the extra tier even when
 // a write races an in-progress flight.
 //
-// The package is environment-portable: under the simulation kernel all
-// waiting is env.Sleep polling (the only legal blocking shape there),
-// which also works unchanged over the real clock.
+// The package is environment-portable: every wait is on a
+// network.Event, which wakes a coalesced waiter at the instant its
+// flight completes under the simulation kernel and over the real clock
+// alike.
 package gateway
 
 import (
@@ -35,9 +36,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 )
-
-// defaultPoll is how often a coalesced waiter re-checks its flight.
-const defaultPoll = time.Millisecond
 
 // Backend is one pooled DHT client: anything that can write, read with
 // a currency policy, and ask KTS for a last timestamp. The public
@@ -57,9 +55,6 @@ type Config struct {
 	// Obs receives the dcdht_gw_* metric families. Nil disables
 	// metrics without disabling the gateway.
 	Obs *obs.Registry
-	// Poll is the waiter re-check interval for coalesced flights and
-	// batch joins. Zero selects the default (1ms).
-	Poll time.Duration
 	// CooldownAfter benches a backend after this many consecutive
 	// errors (0 selects the default, 3).
 	CooldownAfter int
@@ -121,9 +116,10 @@ func classOf(pol dht.ReadPolicy) string {
 }
 
 // flight is one in-progress backend retrieve that concurrent readers of
-// the same flightKey wait on. Fields are guarded by the gateway mutex.
+// the same flightKey wait on. The leader sets res and err, then fires
+// done; waiters read them only after done fired.
 type flight struct {
-	done bool
+	done network.Event // fired once res and err are set
 	res  dht.OpResult
 	err  error
 }
@@ -179,7 +175,6 @@ type Gateway struct {
 	backends []Backend
 	bal      *balancer
 	cache    *tsCache
-	poll     time.Duration
 	metrics  gwMetrics
 	perBE    []beMetrics
 
@@ -196,16 +191,11 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 	if cfg.Env == nil {
 		return nil, errors.New("gateway: Config.Env is required")
 	}
-	poll := cfg.Poll
-	if poll <= 0 {
-		poll = defaultPoll
-	}
 	g := &Gateway{
 		env:      cfg.Env,
 		backends: backends,
 		bal:      newBalancer(len(backends), cfg.Env.Now, cfg.CooldownAfter, cfg.Cooldown),
 		cache:    newTSCache(cfg.Env.Now),
-		poll:     poll,
 		metrics:  newGWMetrics(cfg.Obs),
 		flights:  make(map[flightKey]*flight),
 	}
@@ -390,7 +380,7 @@ func (g *Gateway) RetrieveMulti(ctx context.Context, keys []core.Key, pol dht.Re
 // unfinished elements report that error.
 func (g *Gateway) fanOut(n int, out []ItemResult, op func(i int) (dht.OpResult, error)) {
 	done := make([]bool, n)
-	jerr := network.GoJoin(g.env, n, g.poll, func(i int) {
+	jerr := network.GoJoin(g.env, n, 0, func(i int) {
 		res, err := op(i)
 		out[i] = ItemResult{Res: res, Err: err}
 		done[i] = true
@@ -414,7 +404,7 @@ func (g *Gateway) coalesced(ctx context.Context, k core.Key, pol dht.ReadPolicy)
 		g.mu.Unlock()
 		return g.awaitFlight(ctx, f, k, pol)
 	}
-	f := &flight{}
+	f := &flight{done: g.env.NewEvent()}
 	g.flights[fk] = f
 	g.stats.Flights++
 	g.mu.Unlock()
@@ -422,37 +412,33 @@ func (g *Gateway) coalesced(ctx context.Context, k core.Key, pol dht.ReadPolicy)
 
 	res, err := g.retrieveBackend(ctx, k, pol)
 	g.mu.Lock()
-	f.res, f.err, f.done = res, err, true
+	f.res, f.err = res, err
 	delete(g.flights, fk)
 	g.mu.Unlock()
+	f.done.Fire()
 	return res, err
 }
 
-// awaitFlight polls a leader's flight until it completes. The shared
+// awaitFlight waits for a leader's flight to complete. The shared
 // result is accepted only when it succeeded AND carries a timestamp at
 // or above this waiter's floor; otherwise the waiter pays for its own
 // read — this is what makes a write racing the flight safe: the
 // writer's session floor rose past the flight's result, so the floor
 // check forces a fresh read instead of serving the pre-write value.
 func (g *Gateway) awaitFlight(ctx context.Context, f *flight, k core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
-	for {
-		g.mu.Lock()
-		done, res, err := f.done, f.res, f.err
-		g.mu.Unlock()
-		if done {
-			if err == nil && !res.TS.Less(pol.Floor) {
-				g.metrics.coalesced.Inc()
-				g.bump(func(s *Stats) { s.Coalesced++ })
-				return res, nil
-			}
-			g.metrics.flightRetries.Inc()
-			g.bump(func(s *Stats) { s.FlightRetries++ })
-			return g.retrieveBackend(ctx, k, pol)
-		}
-		if serr := network.SleepCtx(ctx, g.env, g.poll); serr != nil {
-			return dht.OpResult{}, serr
-		}
+	if err := network.WaitCtx(ctx, f.done); err != nil {
+		return dht.OpResult{}, err
 	}
+	// Fire orders the leader's writes of res and err before this read.
+	res, err := f.res, f.err
+	if err == nil && !res.TS.Less(pol.Floor) {
+		g.metrics.coalesced.Inc()
+		g.bump(func(s *Stats) { s.Coalesced++ })
+		return res, nil
+	}
+	g.metrics.flightRetries.Inc()
+	g.bump(func(s *Stats) { s.FlightRetries++ })
+	return g.retrieveBackend(ctx, k, pol)
 }
 
 // retrieveBackend sends one retrieve to a balancer-picked backend.

@@ -229,7 +229,7 @@ func TestCoalescingHotKey(t *testing.T) {
 		}
 		preGets := func() int { st.mu.Lock(); defer st.mu.Unlock(); return st.gets }()
 		results := make([]dht.OpResult, readers)
-		network.GoJoin(env, readers, time.Millisecond, func(i int) {
+		network.GoJoin(env, readers, 0, func(i int) {
 			res, err := g.Retrieve(ctx, "hot", dht.ReadPolicy{Level: dht.LevelCurrent})
 			if err != nil {
 				t.Errorf("reader %d: %v", i, err)
@@ -268,7 +268,7 @@ func TestCoalescingWriteRacingFlight(t *testing.T) {
 		}
 		var raceRes dht.OpResult
 		var raceErr error
-		network.GoJoin(env, 2, time.Millisecond, func(i int) {
+		network.GoJoin(env, 2, 0, func(i int) {
 			switch i {
 			case 0:
 				// Session A: floor from the first write; its read
@@ -313,7 +313,7 @@ func TestCoalescingClassesDoNotMix(t *testing.T) {
 		ctx := context.Background()
 		g.Insert(ctx, "k", []byte("v"))
 		var cur, ev dht.OpResult
-		network.GoJoin(env, 2, time.Millisecond, func(i int) {
+		network.GoJoin(env, 2, 0, func(i int) {
 			if i == 0 {
 				ev, _ = g.Retrieve(ctx, "k", dht.ReadPolicy{Level: dht.LevelEventual})
 			} else {
@@ -514,7 +514,7 @@ func TestCoalescingPropertySim(t *testing.T) {
 				g.Insert(ctx, k, []byte("seed"))
 			}
 			const workers, ops = 12, 40
-			network.GoJoin(env, workers, time.Millisecond, func(w int) {
+			network.GoJoin(env, workers, 0, func(w int) {
 				rng := env.Rand(fmt.Sprintf("worker-%d", w))
 				floors := map[core.Key]core.Timestamp{}
 				for i := 0; i < ops; i++ {
@@ -579,4 +579,37 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]Backend{&fakeBackend{}}, Config{}); err == nil {
 		t.Fatalf("New without Env succeeded")
 	}
+}
+
+// TestCoalescedWaitersWakeAtFlightCompletion pins the wake-up instant:
+// waiters that join a flight at odd offsets all return at the exact
+// virtual instant the leader's backend read completes, not on a later
+// re-check tick of their own.
+func TestCoalescedWaitersWakeAtFlightCompletion(t *testing.T) {
+	offsets := []time.Duration{0, 300 * time.Microsecond, 1700 * time.Microsecond, 5100 * time.Microsecond}
+	runSim(1, func(env network.Env) {
+		g, _ := newSimGateway(env, 2, 20)
+		ctx := context.Background()
+		if _, err := g.Insert(ctx, "hot", []byte("v1")); err != nil {
+			t.Errorf("insert: %v", err)
+			return
+		}
+		start := env.Now()
+		returned := make([]time.Duration, len(offsets))
+		network.GoJoin(env, len(offsets), 0, func(i int) {
+			env.Sleep(offsets[i])
+			if _, err := g.Retrieve(ctx, "hot", dht.ReadPolicy{Level: dht.LevelCurrent}); err != nil {
+				t.Errorf("reader %d: %v", i, err)
+			}
+			returned[i] = env.Now() - start
+		})
+		for i, at := range returned {
+			if at != 20*time.Millisecond {
+				t.Errorf("reader %d (joined at %v) returned at %v, want the flight's completion at 20ms", i, offsets[i], at)
+			}
+		}
+		if s := g.Stats(); s.Flights != 1 || s.Coalesced != uint64(len(offsets)-1) {
+			t.Errorf("stats flights=%d coalesced=%d, want 1 and %d", s.Flights, s.Coalesced, len(offsets)-1)
+		}
+	})
 }

@@ -40,8 +40,8 @@ func TestLastTSCacheRaceHammer(t *testing.T) {
 	keyOf := func(i int) core.Key { return core.Key([]byte{'k', byte('0' + i%keys)}) }
 
 	// floors[k] is a monotone lower bound on what has been noted for k:
-	// writers publish it BEFORE noting, so any consult that starts
-	// afterwards must see at least that timestamp.
+	// writers publish it only AFTER the note landed, so any consult that
+	// starts afterwards must see at least that timestamp.
 	var floorMu sync.Mutex
 	floors := map[core.Key]core.Timestamp{}
 
@@ -53,12 +53,12 @@ func TestLastTSCacheRaceHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				k := keyOf(w + i)
 				ts := core.TS(uint64(i*writers + w + 1))
+				s.noteLastTS(k, ts)
 				floorMu.Lock()
 				if floors[k].Less(ts) {
 					floors[k] = ts
 				}
 				floorMu.Unlock()
-				s.noteLastTS(k, ts)
 				// Stale and zero observations must never regress the entry.
 				s.noteLastTS(k, core.TS(1))
 				s.noteLastTS(k, core.TSZero)

@@ -461,14 +461,16 @@ func (s *Service) Stats() (generated, indirectInits, directArrivals uint64) {
 // age is acceptable (bounded-staleness reads compare it to their
 // bound); a successful consult counts as a cache hit.
 func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok bool) {
-	now := s.ring.Env().Now()
+	// Load the entry before reading the clock: a concurrent note stamps
+	// its entry before storing it, so the clock read here is never older
+	// than e.at and the age is never negative.
 	e, ok := s.cache.get(k)
 	if !ok {
 		s.metrics.cacheMisses.Inc()
 		return core.TSZero, 0, false
 	}
 	s.cacheHits.Add(1)
-	age = now - e.at
+	age = s.ring.Env().Now() - e.at
 	s.metrics.cacheHits.Inc()
 	s.metrics.cacheAge.Observe(age)
 	return e.ts, age, true
@@ -748,7 +750,7 @@ func (s *Service) handleBatch(req BatchReq, gen bool) BatchResp {
 		Msg:  make([]string, n),
 	}
 	costs := make([]network.Meter, n)
-	joinErr := network.GoJoin(s.ring.Env(), n, 10*time.Millisecond, func(i int) {
+	joinErr := network.GoJoin(s.ring.Env(), n, 0, func(i int) {
 		var r network.Message
 		var err error
 		if gen {
@@ -952,7 +954,7 @@ func (s *Service) indirectInit(ctx context.Context, k core.Key) (core.Timestamp,
 		meter network.Meter
 	}
 	results := make([]probe, len(s.set.Hr))
-	err := network.GoJoin(env, len(s.set.Hr), 50*time.Millisecond, func(i int) {
+	err := network.GoJoin(env, len(s.set.Hr), 0, func(i int) {
 		var p probe
 		p.val, p.err = s.client.GetH(network.WithMeter(ctx, &p.meter), k, s.set.Hr[i])
 		results[i] = p

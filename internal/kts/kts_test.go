@@ -28,12 +28,17 @@ type cluster struct {
 }
 
 func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
-	k := simnet.New(seed)
-	net := simwire.New(k, simwire.Config{
+	return newClusterOn(t, seed, n, cfg, simwire.Config{
 		LatencyMS:      stats.Normal{Mean: 5, Variance: 0, Min: 5},
 		BandwidthKbps:  stats.Normal{Mean: 1e6, Variance: 0, Min: 1e6},
 		DefaultTimeout: 250 * time.Millisecond,
 	})
+}
+
+// newClusterOn is newCluster over a chosen link profile.
+func newClusterOn(t *testing.T, seed int64, n int, cfg Config, wire simwire.Config) *cluster {
+	k := simnet.New(seed)
+	net := simwire.New(k, wire)
 	c := &cluster{t: t, k: k, net: net, set: hashing.NewSet(5)}
 	chordCfg := chord.Config{
 		StabilizeEvery:  500 * time.Millisecond,
@@ -548,6 +553,48 @@ func TestGenTSCostAccounting(t *testing.T) {
 		// positions. The meter must reflect server-side work.
 		if m.Msgs < 5 {
 			t.Errorf("meter = %d msgs; server-side init not accounted", m.Msgs)
+		}
+	})
+}
+
+// TestFirstGenTSJoinsAtSlowestRead pins the indirect initialization's
+// fan-in to the slowest of its |Hr| concurrent reads: on the cluster
+// profile a first gen_ts, issued by the responsible itself, finishes
+// within the grace delay plus the slowest read plus 1 ms (its own
+// round trip to itself) — not on some later poll tick.
+func TestFirstGenTSJoinsAtSlowestRead(t *testing.T) {
+	const grace = 10 * time.Millisecond
+	c := newClusterOn(t, 21, 10, Config{Mode: ModeDirect, GraceDelay: grace}, simwire.Cluster())
+	c.settle(2 * time.Second)
+	key := core.Key("first-insert")
+	rsp := c.responsibleFor(key)
+	client := dht.NewClient(c.nodes[rsp], "ums")
+	c.do(func() {
+		ctx := context.Background()
+		t0 := c.k.Now()
+		if _, err := c.services[rsp].GenTS(ctx, key); err != nil {
+			t.Errorf("gen_ts: %v", err)
+			return
+		}
+		took := c.k.Now() - t0
+		if _, inits, _ := c.services[rsp].Stats(); inits != 1 {
+			t.Errorf("indirect inits = %d, want 1 (first gen_ts)", inits)
+		}
+		// Replay the |Hr| reads one at a time from the responsible, a
+		// few rounds each, to find how long the slowest one takes.
+		var slowest time.Duration
+		for round := 0; round < 3; round++ {
+			for _, h := range c.set.Hr {
+				r0 := c.k.Now()
+				client.GetH(ctx, key, h)
+				if d := c.k.Now() - r0; d > slowest {
+					slowest = d
+				}
+			}
+		}
+		t.Logf("first gen_ts %v, slowest read %v", took, slowest)
+		if limit := grace + slowest + time.Millisecond; took > limit {
+			t.Errorf("first gen_ts took %v, want <= grace %v + slowest read %v + 1ms", took, grace, slowest)
 		}
 	})
 }

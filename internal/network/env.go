@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
@@ -62,7 +63,13 @@ func (e *RealEnv) Rand(label string) *rand.Rand {
 	return rand.New(rand.NewSource(e.seed ^ int64(h.Sum64())))
 }
 
-// Close releases sleepers. Safe to call more than once.
+// NewEvent implements Env with a channel that Fire closes.
+func (e *RealEnv) NewEvent() Event {
+	return &realEvent{fired: make(chan struct{}), stopped: e.done}
+}
+
+// Close releases sleepers and event waiters. Safe to call more than
+// once.
 func (e *RealEnv) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -73,6 +80,35 @@ func (e *RealEnv) Close() {
 }
 
 type realTimer struct{ t *time.Timer }
+
+// realEvent is the wall-clock Event: a channel closed once by Fire.
+type realEvent struct {
+	once    sync.Once
+	fired   chan struct{}
+	stopped <-chan struct{} // the environment's done channel
+}
+
+func (e *realEvent) Fire() { e.once.Do(func() { close(e.fired) }) }
+
+func (e *realEvent) Wait() error { return e.waitCtx(context.Background()) }
+
+// waitCtx waits for Fire, the environment's Close or ctx, whichever
+// comes first; a fired event wins over a concurrent Close.
+func (e *realEvent) waitCtx(ctx context.Context) error {
+	select {
+	case <-e.fired:
+		return nil
+	default:
+	}
+	select {
+	case <-e.fired:
+		return nil
+	case <-e.stopped:
+		return core.ErrStopped
+	case <-ctx.Done():
+		return CtxError(ctx)
+	}
+}
 
 func (r *realTimer) Cancel() bool { return r.t.Stop() }
 

@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -40,6 +40,22 @@ type Env interface {
 	After(d time.Duration, fn func()) Canceler
 	// Rand derives a named deterministic random stream.
 	Rand(label string) *rand.Rand
+	// NewEvent returns an unfired one-shot wake-up, the way one
+	// activity waits for another.
+	NewEvent() Event
+}
+
+// Event is a one-shot broadcast wake-up: Fire it once, and every Wait —
+// before or after the Fire — returns. It is the portable way to wait for
+// another activity: a sync primitive would block a simulated process
+// behind the kernel's back (deadlocking it), and a sleep loop rounds the
+// wake-up up to its next tick.
+type Event interface {
+	// Fire releases every waiter. Only the first call counts.
+	Fire()
+	// Wait blocks the calling activity until the event fires. It
+	// returns core.ErrStopped if the environment shuts down first.
+	Wait() error
 }
 
 // Canceler stops a pending timer.
@@ -168,36 +184,41 @@ func Patience(ctx context.Context, timeout, transportDefault time.Duration) time
 }
 
 // GoJoin spawns n activities with env.Go and blocks the caller until
-// all have finished, polling in environment time every poll — the only
-// fan-out/join shape portable across the simulated and real
-// environments (a sync.WaitGroup would block real goroutines, which
-// deadlocks the simulation kernel). It returns early with the
-// environment's error when the environment shuts down mid-join.
+// all have finished: the last one to finish fires an Event the caller
+// waits on, so the join returns at the instant the slowest activity
+// ends. It returns early with core.ErrStopped when the environment
+// shuts down mid-join. poll is ignored; it remains only so existing
+// callers keep compiling, and new code passes 0.
 func GoJoin(env Env, n int, poll time.Duration, run func(i int)) error {
 	if n == 0 {
 		return nil
 	}
-	var mu sync.Mutex
-	done := 0
+	done := env.NewEvent()
+	var left atomic.Int64
+	left.Store(int64(n))
 	for i := 0; i < n; i++ {
 		env.Go(func() {
 			run(i)
-			mu.Lock()
-			done++
-			mu.Unlock()
+			if left.Add(-1) == 0 {
+				done.Fire()
+			}
 		})
 	}
-	for {
-		mu.Lock()
-		d := done
-		mu.Unlock()
-		if d == n {
-			return nil
-		}
-		if err := env.Sleep(poll); err != nil {
-			return err
-		}
+	return done.Wait()
+}
+
+// WaitCtx waits for ev like ev.Wait, giving up when ctx is done first.
+// On the real clock the context interrupts the wait. Under simulation a
+// wall-clock deadline cannot interrupt virtual time, so the context is
+// checked on entry only, as SleepCtx does.
+func WaitCtx(ctx context.Context, ev Event) error {
+	if err := CtxError(ctx); err != nil {
+		return err
 	}
+	if re, ok := ev.(*realEvent); ok {
+		return re.waitCtx(ctx)
+	}
+	return ev.Wait()
 }
 
 // SleepCtx sleeps d of environment time, giving up when ctx is done.

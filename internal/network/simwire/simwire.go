@@ -511,3 +511,4 @@ func (e simEnv) After(d time.Duration, fn func()) network.Canceler {
 	return e.k.After(d, fn)
 }
 func (e simEnv) Rand(label string) *rand.Rand { return e.k.NewRand(label) }
+func (e simEnv) NewEvent() network.Event      { return e.k.NewEvent() }

@@ -121,7 +121,7 @@ func (n *Node) Leave() error {
 			others = append(others, ref)
 		}
 	}
-	network.GoJoin(n.env, len(others), 10*time.Millisecond, func(i int) {
+	network.GoJoin(n.env, len(others), 0, func(i int) {
 		n.metrics.eventsSent.Inc()
 		n.call(context.Background(), others[i].Addr, methodEvent, ev)
 	})

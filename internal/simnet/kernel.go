@@ -1,9 +1,9 @@
 // Package simnet is a deterministic discrete-event simulation kernel in
 // the style of SimJava, which the paper used for its scale-up study
 // (§5.1). Simulated activities ("processes") are ordinary goroutines that
-// block on virtual time — Sleep, Future.Await, RPC round trips — while
-// the kernel advances a virtual clock through a totally ordered event
-// queue.
+// block on virtual time — Sleep, Future.Await, Event.Wait, RPC round
+// trips — while the kernel advances a virtual clock through a totally
+// ordered event queue.
 //
 // Determinism. The kernel runs at most one process at any real-time
 // instant: an event is dispatched only when every process is blocked, and

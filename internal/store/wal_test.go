@@ -310,11 +310,15 @@ func TestWALCounterMonotonicityAcrossTwoRestarts(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
+					// PutCounter runs under the mutex too: generating
+					// and persisting a timestamp is one step, as in a
+					// gen_ts handler, so a smaller timestamp can never
+					// land after a larger one.
 					mu.Lock()
 					next = next.Next()
-					ts := next
+					err := w.PutCounter("k", next)
 					mu.Unlock()
-					if err := w.PutCounter("k", ts); err != nil {
+					if err != nil {
 						t.Error(err)
 						return
 					}

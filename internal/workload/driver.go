@@ -30,11 +30,6 @@ type LevelClient interface {
 	GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error)
 }
 
-// joinPoll is how often the drivers poll for worker completion — the
-// fan-out/join shape portable across both environments (see
-// network.GoJoin).
-const joinPoll = 10 * time.Millisecond
-
 // Run executes spec against c inside env and returns the report:
 // closed-loop (Spec.Concurrency workers issuing back to back) by
 // default, open-loop (operations issued at Spec.Rate regardless of
@@ -75,7 +70,7 @@ func preload(ctx context.Context, env network.Env, c Client, gen *Generator) err
 	spec := gen.Spec()
 	var mu sync.Mutex
 	next := 0
-	return network.GoJoin(env, spec.Concurrency, joinPoll, func(int) {
+	return network.GoJoin(env, spec.Concurrency, 0, func(int) {
 		for {
 			if ctx.Err() != nil {
 				return
@@ -101,7 +96,7 @@ func runClosed(ctx context.Context, env network.Env, c Client, gen *Generator, r
 	spec := gen.Spec()
 	var mu sync.Mutex
 	issued := 0
-	return network.GoJoin(env, spec.Concurrency, joinPoll, func(int) {
+	return network.GoJoin(env, spec.Concurrency, 0, func(int) {
 		for {
 			if ctx.Err() != nil {
 				return
@@ -139,8 +134,18 @@ func runOpen(ctx context.Context, env network.Env, c Client, gen *Generator, rec
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
+	// Every issued operation holds one unit of pending, and the issuing
+	// loop holds one more until it stops issuing; whoever drops pending
+	// to zero (under mu) fires drained.
+	drained := env.NewEvent()
 	var mu sync.Mutex
-	issued, done := 0, 0
+	issued, pending := 0, 1
+	release := func() {
+		pending--
+		if pending == 0 {
+			drained.Fire()
+		}
+	}
 	for {
 		if ctx.Err() != nil {
 			break
@@ -156,29 +161,25 @@ func runOpen(ctx context.Context, env network.Env, c Client, gen *Generator, rec
 		if spec.Trace {
 			rec.trace = append(rec.trace, op)
 		}
+		mu.Lock()
+		pending++
+		mu.Unlock()
 		env.Go(func() {
 			lat, oc := execute(ctx, env, c, gen, op)
 			mu.Lock()
+			defer mu.Unlock()
 			rec.record(op, lat, oc)
-			done++
-			mu.Unlock()
+			release()
 		})
 		if err := env.Sleep(interval); err != nil {
 			return err
 		}
 	}
 	// Drain: wait for every issued operation to complete.
-	for {
-		mu.Lock()
-		d := done
-		mu.Unlock()
-		if d >= issued {
-			return nil
-		}
-		if err := env.Sleep(joinPoll); err != nil {
-			return err
-		}
-	}
+	mu.Lock()
+	release()
+	mu.Unlock()
+	return drained.Wait()
 }
 
 // execute performs one operation, timing it in environment time, and
