@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // Protocol method names.
@@ -370,11 +371,15 @@ func (n *Node) acceptServices(payloads map[string]network.Message) {
 }
 
 // Lookup implements dht.Ring by iterative greedy routing. The context
-// bounds the walk and carries the meter the hops are charged to.
+// bounds the walk and carries the meter the hops are charged to; the
+// walk's time is charged to the operation's lookup phase. CAN has no
+// optimistic mode: every answer comes from the owning zone's own step.
 func (n *Node) Lookup(ctx context.Context, target core.ID) (dht.NodeRef, int, error) {
 	if !n.Alive() {
 		return dht.NodeRef{}, 0, fmt.Errorf("can: lookup from dead node: %w", core.ErrStopped)
 	}
+	start := n.env.Now()
+	defer func() { obs.PhasesFrom(ctx).Add(obs.PhaseLookup, n.env.Now()-start) }()
 	p := PointOf(target)
 	exclude := map[core.ID]bool{}
 	hops := 0

@@ -13,10 +13,17 @@ import (
 
 // Lookup implements dht.Ring: it finds the peer responsible for target by
 // iterative routing from this node, restarting with an exclusion set when
-// it runs into dead peers. hops counts remote routing steps, so the
-// communication cost of a lookup is 2*hops messages (request + reply per
-// step), the paper's cret = O(log n). The context bounds the whole walk
-// and carries the meter the hops are charged to.
+// it runs into dead peers. hops counts remote routing steps, dead probes
+// included — the paper's cret = O(log n). Each step that answers costs a
+// request and a reply, a probe of a dead peer only the request, so a
+// lookup costs between hops and 2*hops messages. The context bounds the
+// whole walk and carries the meter the hops are charged to.
+//
+// Under a dht.Optimistic context every step, local or remote, may
+// conclude from its node's whole successor list and predecessor
+// pointer, so a target covered by this node's list costs no hop at all;
+// the answer is unverified. Otherwise a step concludes only from its
+// first live successor, and the walk ends at the target's predecessor.
 func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hops int, err error) {
 	if !n.Alive() {
 		return dht.NodeRef{}, 0, fmt.Errorf("chord: lookup from dead node: %w", core.ErrStopped)
@@ -33,13 +40,14 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 			n.metrics.lookupFails.Inc()
 		}
 	}()
+	optimistic := dht.IsOptimistic(ctx)
 	exclude := map[core.ID]bool{}
 	var lastErr error
 	for attempt := 0; attempt <= n.cfg.LookupRetries; attempt++ {
 		if cerr := network.CtxError(ctx); cerr != nil {
 			return dht.NodeRef{}, hops, fmt.Errorf("chord: lookup %s: %w", target, cerr)
 		}
-		r, h, lerr := n.lookupOnce(ctx, target, exclude)
+		r, h, lerr := n.lookupOnce(ctx, target, exclude, optimistic)
 		hops += h
 		if lerr == nil {
 			return r, hops, nil
@@ -55,14 +63,14 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 
 // lookupOnce performs one routing walk. Peers that time out are added to
 // exclude so the retry routes around them.
-func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.ID]bool) (dht.NodeRef, int, error) {
+func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.ID]bool, optimistic bool) (dht.NodeRef, int, error) {
 	cur := n.self
 	hops := 0
 	visited := map[core.ID]bool{}
 	for step := 0; step < n.cfg.MaxLookupSteps; step++ {
 		var resp FindStepResp
 		if cur.ID == n.self.ID {
-			resp = n.findStep(target, exclude)
+			resp = n.findStep(target, exclude, optimistic)
 		} else {
 			if visited[cur.ID] {
 				return dht.NodeRef{}, hops, fmt.Errorf("chord: routing loop at %s for %s: %w",
@@ -70,7 +78,7 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 			}
 			visited[cur.ID] = true
 			raw, err := n.call(ctx, cur.Addr, methodFindStep,
-				FindStepReq{Target: target, Exclude: setToList(exclude)})
+				FindStepReq{Target: target, Exclude: setToList(exclude), Optimistic: optimistic})
 			hops++
 			if err != nil {
 				// Dead peers are silence on the simulated transport

@@ -36,6 +36,9 @@ type FindStepReq struct {
 	Target core.ID
 	// Exclude lists peers the caller observed dead during this lookup.
 	Exclude []core.ID
+	// Optimistic lets the step conclude from the whole successor list
+	// and the predecessor pointer (see dht.Optimistic).
+	Optimistic bool
 }
 
 // FindStepResp either concludes the lookup (Done: Next is the
@@ -153,7 +156,7 @@ func (n *Node) registerHandlers() {
 			return nil, core.ErrStopped
 		}
 		r := req.(FindStepReq)
-		return n.findStep(r.Target, toSet(r.Exclude)), nil
+		return n.findStep(r.Target, toSet(r.Exclude), r.Optimistic), nil
 	})
 
 	n.ep.Handle(methodPing, func(network.Addr, network.Message) (network.Message, error) {
@@ -233,10 +236,17 @@ func toSet(ids []core.ID) map[core.ID]bool {
 }
 
 // findStep implements one iterative lookup step (also used locally for
-// step zero, costing no message).
-func (n *Node) findStep(target core.ID, exclude map[core.ID]bool) FindStepResp {
+// step zero, costing no message). An exact step concludes only from
+// the first live successor; an optimistic one also from the rest of
+// the successor list and from (pred, self].
+func (n *Node) findStep(target core.ID, exclude map[core.ID]bool, optimistic bool) FindStepResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if optimistic {
+		if owner, ok := n.listOwnerLocked(target, exclude); ok {
+			return FindStepResp{Done: true, Next: owner}
+		}
+	}
 	// First successor the caller still believes alive.
 	succ := n.self
 	for _, s := range n.succs {
@@ -255,6 +265,32 @@ func (n *Node) findStep(target core.ID, exclude map[core.ID]bool) FindStepResp {
 		return FindStepResp{Done: true, Next: succ}
 	}
 	return FindStepResp{Next: next}
+}
+
+// listOwnerLocked guesses target's owner from local state alone: self
+// when target ∈ (pred, self], else the first live succ[i] with target ∈
+// (succ[i-1], succ[i]], where succ[-1] is self and dead entries widen
+// the next live one's arc. The scan stops where the list wraps around
+// the ring. The guess is unverified: a peer that joined inside a listed
+// arc is invisible here until stabilization brings it in.
+func (n *Node) listOwnerLocked(target core.ID, exclude map[core.ID]bool) (dht.NodeRef, bool) {
+	if !n.pred.IsZero() && target.Between(n.pred.ID, n.self.ID) {
+		return n.self, true
+	}
+	prev := n.self.ID
+	for _, s := range n.succs {
+		if !s.ID.InOpenInterval(prev, n.self.ID) {
+			break // wrapped around the ring
+		}
+		if exclude[s.ID] {
+			continue
+		}
+		if target.Between(prev, s.ID) {
+			return s, true
+		}
+		prev = s.ID
+	}
+	return dht.NodeRef{}, false
 }
 
 // closestPrecedingLocked scans fingers (highest first) and the successor

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
@@ -13,8 +12,9 @@ import (
 
 // Client performs puth/geth operations (§2.2) from one peer: it resolves
 // rsp(k, h) through the ring's lookup service and invokes the store
-// protocol on the responsible peer. One retry is allowed when the
-// responsible moved between lookup and operation.
+// protocol on the responsible peer. The first resolution is optimistic
+// and the responsible's owns-check verifies it; one exact retry is
+// allowed when the guess was wrong or the responsible moved or died.
 //
 // Every operation takes a context: its deadline bounds the whole
 // resolve-and-invoke sequence, its cancellation stops retries, and the
@@ -69,11 +69,17 @@ func (c *Client) GetH(ctx context.Context, k core.Key, h hashing.Func) (core.Val
 }
 
 // invokeResponsible looks up the peer responsible for rid and invokes
-// method on it, retrying the lookup once if responsibility moved.
+// method on it. The first lookup is optimistic (see Optimistic): the
+// store handler's owns-check verifies the guess. A refused or failed
+// first call resolves once more with an exact walk.
 func (c *Client) invokeResponsible(ctx context.Context, rid core.ID, method string, req network.Message) (network.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		ref, _, err := c.ring.Lookup(ctx, rid)
+		lctx := ctx
+		if attempt == 0 {
+			lctx = Optimistic(ctx)
+		}
+		ref, _, err := c.ring.Lookup(lctx, rid)
 		if err != nil {
 			return nil, err
 		}
@@ -82,14 +88,12 @@ func (c *Client) invokeResponsible(ctx context.Context, rid core.ID, method stri
 			return resp, nil
 		}
 		lastErr = err
-		// Responsibility moved or the peer died mid-operation: resolve
-		// again once, then give up (the replica is simply unavailable).
+		// A wrong guess, a moved responsibility or a peer that died
+		// mid-operation: resolve again exactly, then give up (the
+		// replica is simply unavailable).
 		if !errors.Is(err, core.ErrNotResponsible) && !errors.Is(err, core.ErrTimeout) &&
 			!errors.Is(err, core.ErrUnreachable) {
 			return nil, err
-		}
-		if serr := network.SleepCtx(ctx, c.ring.Env(), 100*time.Millisecond); serr != nil {
-			return nil, serr
 		}
 	}
 	return nil, lastErr

@@ -61,7 +61,8 @@ type Ring interface {
 	// Lookup finds the peer currently responsible for ring position id.
 	// The context bounds the walk (deadline and cancellation) and
 	// carries the meter routing messages are charged to. hops reports
-	// routing steps.
+	// routing steps. The answer is verified by default; a context made
+	// by Optimistic lets the ring answer from local routing state.
 	Lookup(ctx context.Context, id core.ID) (ref NodeRef, hops int, err error)
 	// Endpoint returns this peer's transport attachment, on which
 	// services register their own RPC methods.
@@ -72,6 +73,28 @@ type Ring interface {
 	OwnsID(id core.ID) bool
 	// Alive reports whether the peer is still part of the overlay.
 	Alive() bool
+}
+
+// optimisticKey marks a context whose lookups may be optimistic.
+type optimisticKey struct{}
+
+// Optimistic returns a context under which Ring.Lookup may answer from
+// this peer's local routing state (chord's successor list, the onehop
+// membership table, a path-cache arc) without confirming ownership
+// over the network. Such an answer can be stale, so only callers whose
+// target checks ownership itself may ask for it: the store and KTS
+// handlers refuse a position they do not own with
+// core.ErrNotResponsible, and the caller then resolves again without
+// the marker, which walks exactly. Lookups under a plain context —
+// joins, finger repair, the republisher, the lookup figure — stay
+// exact.
+func Optimistic(ctx context.Context) context.Context {
+	return context.WithValue(ctx, optimisticKey{}, true)
+}
+
+// IsOptimistic reports whether ctx was made by Optimistic.
+func IsOptimistic(ctx context.Context) bool {
+	return ctx.Value(optimisticKey{}) != nil
 }
 
 // RingNode is the full lifecycle surface a DHT substrate exposes to the

@@ -110,10 +110,13 @@ func (c *CachedRing) RegisterHandover(h Handover) {
 	}
 }
 
-// Lookup resolves id through the cache when a verified arc covers it,
-// and through the inner ring otherwise. hops counts remote probes: a
-// confirmed cache hit costs exactly one (zero when the cached owner is
-// this peer), a miss costs the inner lookup's hops.
+// Lookup resolves id through the cache when an arc covers it, and
+// through the inner ring otherwise. Under an Optimistic context a
+// covering arc answers at once, with no message and no hop; the
+// caller's target verifies ownership. Otherwise the cached owner must
+// confirm first: hops counts remote probes, so a confirmed cache hit
+// costs exactly one (zero when the cached owner is this peer, whose
+// probe runs in process), a miss costs the inner lookup's hops.
 func (c *CachedRing) Lookup(ctx context.Context, id core.ID) (NodeRef, int, error) {
 	if ref, hops, ok := c.tryCache(ctx, id); ok {
 		return ref, hops, nil
@@ -125,9 +128,11 @@ func (c *CachedRing) Lookup(ctx context.Context, id core.ID) (NodeRef, int, erro
 	return ref, hops, err
 }
 
-// tryCache probes the covering arc, if any. It reports ok only when the
-// cached owner confirmed ownership; every other outcome (no arc, probe
-// failure, refusal) leaves the caller to the inner lookup.
+// tryCache answers from the covering arc, if any. Under an Optimistic
+// context the arc's owner is the answer; otherwise ok is reported only
+// when the cached owner confirmed ownership, and every other outcome
+// (no arc, probe failure, refusal) leaves the caller to the inner
+// lookup.
 func (c *CachedRing) tryCache(ctx context.Context, id core.ID) (NodeRef, int, bool) {
 	c.mu.Lock()
 	var arc *cacheArc
@@ -145,14 +150,9 @@ func (c *CachedRing) tryCache(ctx context.Context, id core.ID) (NodeRef, int, bo
 		return NodeRef{}, 0, false
 	}
 	ref := arc.Ref
-	if ref.Addr == c.inner.Self().Addr {
-		// Our own liveness view is free and authoritative.
-		if c.inner.OwnsID(id) {
-			c.hits.Inc()
-			return c.inner.Self(), 0, true
-		}
-		c.evict(arc)
-		return NodeRef{}, 0, false
+	if IsOptimistic(ctx) {
+		c.hits.Inc()
+		return ref, 0, true
 	}
 	resp, err := c.inner.Endpoint().Invoke(ctx, ref.Addr, MethodOwns,
 		OwnsReq{RingID: id}, network.Call{Timeout: c.cfg.ProbeTimeout})
@@ -161,6 +161,9 @@ func (c *CachedRing) tryCache(ctx context.Context, id core.ID) (NodeRef, int, bo
 		return NodeRef{}, 0, false
 	}
 	c.hits.Inc()
+	if ref.Addr == c.inner.Self().Addr {
+		return ref, 0, true
+	}
 	return ref, 1, true
 }
 

@@ -2,7 +2,8 @@
 // dht.RingNode substrates. Any ring — chord's O(log n) finger routing,
 // can's d-dimensional zones, onehop's full-table event propagation, or
 // a future substrate — plugs in through a Factory and gets the same
-// sweep: ownership correctness against ground truth, hop-count bounds,
+// sweep: ownership correctness against ground truth (exact and
+// optimistic lookups), hop-count bounds, lookup-phase accounting,
 // lookup liveness under churn, and post-heal re-merge via Nudge. The
 // suite runs on the deterministic simulation kernel, so a failure
 // replays bit-identically from its seed.
@@ -19,6 +20,7 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/network"
 	"repro/internal/network/simwire"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -48,6 +50,8 @@ type Factory struct {
 func Run(t *testing.T, f Factory) {
 	t.Run("Ownership", func(t *testing.T) { testOwnership(t, f) })
 	t.Run("HopBound", func(t *testing.T) { testHopBound(t, f) })
+	t.Run("OptimisticOwnership", func(t *testing.T) { testOptimisticOwnership(t, f) })
+	t.Run("LookupPhase", func(t *testing.T) { testLookupPhase(t, f) })
 	t.Run("LookupUnderChurn", func(t *testing.T) { testLookupUnderChurn(t, f) })
 	if f.SupportsNudgeMerge {
 		t.Run("HealMerge", func(t *testing.T) { testHealMerge(t, f) })
@@ -185,6 +189,84 @@ func testOwnership(t *testing.T, f Factory) {
 			}
 		}
 	})
+}
+
+// testOptimisticOwnership checks that on a converged overlay an
+// optimistic lookup (dht.Optimistic) — answered from local routing
+// state where the substrate has any — still resolves the ground-truth
+// owner, and never pays more hops than the exact walk of the same
+// position from the same issuer.
+func testOptimisticOwnership(t *testing.T, f Factory) {
+	const peers = 24
+	c := newCluster(t, f, 103, peers)
+	rng := c.k.NewRand("optimistic")
+	const samples = 500
+	optHops, exactHops := 0, 0
+	c.do(func() {
+		for i := 0; i < samples; i++ {
+			id := core.ID(rng.Uint64())
+			want := c.owner(id).Self()
+			issuer := c.nodes[i%len(c.nodes)]
+			got, hops, err := issuer.Lookup(dht.Optimistic(context.Background()), id)
+			if err != nil {
+				t.Fatalf("optimistic lookup %s from %s: %v", id, issuer.Self().ID, err)
+			}
+			if got.ID != want.ID {
+				t.Fatalf("optimistic lookup %s from %s resolved %s, ground truth %s",
+					id, issuer.Self().ID, got.ID, want.ID)
+			}
+			optHops += hops
+			_, hops, err = issuer.Lookup(context.Background(), id)
+			if err != nil {
+				t.Fatalf("exact lookup %s from %s: %v", id, issuer.Self().ID, err)
+			}
+			exactHops += hops
+		}
+	})
+	if optHops > exactHops {
+		t.Fatalf("optimistic lookups took %d hops, more than the exact walks' %d", optHops, exactHops)
+	}
+}
+
+// testLookupPhase checks that a lookup charges exactly its own duration
+// to the lookup phase of the operation its context traces (obs.Phases),
+// whichever substrate routes it.
+func testLookupPhase(t *testing.T, f Factory) {
+	const peers = 24
+	c := newCluster(t, f, 104, peers)
+	rng := c.k.NewRand("phase")
+	env := c.net.Env()
+	remote := 0
+	c.do(func() {
+		for i := 0; i < 50; i++ {
+			id := core.ID(rng.Uint64())
+			issuer := c.nodes[i%len(c.nodes)]
+			ph := obs.NewPhases()
+			start := env.Now()
+			_, hops, err := issuer.Lookup(obs.WithPhases(context.Background(), ph), id)
+			if err != nil {
+				t.Fatalf("lookup %s: %v", id, err)
+			}
+			took := env.Now() - start
+			if hops > 0 && took > 0 {
+				remote++
+			}
+			var charged time.Duration
+			found := false
+			for _, p := range ph.List() {
+				if p.Name == obs.PhaseLookup {
+					charged, found = p.D, true
+				}
+			}
+			if !found || charged != took {
+				t.Fatalf("lookup %s (%d hops) took %v but charged %v to the lookup phase (recorded: %v)",
+					id, hops, took, charged, found)
+			}
+		}
+	})
+	if remote == 0 {
+		t.Fatal("no sampled lookup left the issuer; the phase check saw only free lookups")
+	}
 }
 
 // testHopBound checks the substrate's routing promise: mean hops over a

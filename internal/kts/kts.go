@@ -571,8 +571,10 @@ func retryableCallErr(err error) bool {
 
 // batchCall is the grouped analogue of callResponsible: resolve every
 // key's responsible, batch the keys per responsible, and issue one RPC
-// per group — the local group is served free of charge. Keys that come
-// back with a retryable outcome re-resolve on the next attempt.
+// per group — the local group is served in process, free of charge.
+// The first round resolves optimistically (see dht.Optimistic); keys
+// that come back with a retryable outcome re-resolve exactly on the
+// next round.
 func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key) ([]core.Timestamp, []error) {
 	n := len(keys)
 	out := make([]core.Timestamp, n)
@@ -582,9 +584,10 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 		pending = append(pending, i)
 	}
 	for attempt := 0; attempt <= s.cfg.LookupRetries && len(pending) > 0; attempt++ {
-		if attempt > 0 {
+		if attempt > 1 {
 			// A responsible moved or died: give the ring a beat to
-			// converge before re-resolving.
+			// converge before re-resolving. A wrong optimistic guess
+			// re-resolves at once.
 			if serr := network.SleepCtx(ctx, s.ring.Env(), 200*time.Millisecond); serr != nil {
 				for _, i := range pending {
 					errs[i] = serr
@@ -600,10 +603,14 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 		}
 		// Group the pending keys by responsible, preserving first-seen
 		// order so the round's RPC sequence is deterministic.
+		lctx := ctx
+		if attempt == 0 {
+			lctx = dht.Optimistic(ctx)
+		}
 		var order []network.Addr
 		groups := make(map[network.Addr][]int)
 		for _, i := range pending {
-			ref, _, err := s.ring.Lookup(ctx, s.set.HTS.ID(keys[i]))
+			ref, _, err := s.ring.Lookup(lctx, s.set.HTS.ID(keys[i]))
 			if err != nil {
 				errs[i] = err
 				continue
@@ -620,16 +627,9 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 			for j, i := range idx {
 				req.Keys[j] = keys[i]
 			}
-			var resp network.Message
-			var err error
-			if addr == s.ring.Self().Addr {
-				// We are the responsible: serve locally, free of charge.
-				resp, err = s.serveLocal(method, req)
-			} else {
-				resp, err = s.ring.Endpoint().Invoke(ctx, addr, method, req, network.Call{
-					Timeout: s.cfg.RPCTimeout,
-				})
-			}
+			resp, err := s.ring.Endpoint().Invoke(ctx, addr, method, req, network.Call{
+				Timeout: s.cfg.RPCTimeout,
+			})
 			if err != nil {
 				// The whole group shares the transport outcome.
 				for _, i := range idx {
@@ -658,8 +658,10 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 	return out, errs
 }
 
-// callResponsible resolves rsp(k, hts) and invokes a method on it,
-// re-resolving when responsibility moved or the peer died mid-call.
+// callResponsible resolves rsp(k, hts) and invokes a method on it — in
+// process, free of charge, when this peer is the responsible. The first
+// resolution is optimistic (see dht.Optimistic) and the handler's
+// owns-check verifies it; a refused or failed call re-resolves exactly.
 func (s *Service) callResponsible(ctx context.Context, method string, req network.Message, k core.Key) (network.Message, error) {
 	id := s.set.HTS.ID(k)
 	var lastErr error
@@ -667,26 +669,26 @@ func (s *Service) callResponsible(ctx context.Context, method string, req networ
 		if err := network.CtxError(ctx); err != nil {
 			return nil, err
 		}
-		ref, _, err := s.ring.Lookup(ctx, id)
+		lctx := ctx
+		if attempt == 0 {
+			lctx = dht.Optimistic(ctx)
+		}
+		ref, _, err := s.ring.Lookup(lctx, id)
 		if err != nil {
 			return nil, err
 		}
-		var resp network.Message
-		if ref.Addr == s.ring.Self().Addr {
-			// We are the responsible: serve locally, free of charge.
-			resp, err = s.serveLocal(method, req)
-		} else {
-			resp, err = s.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{
-				Timeout: s.cfg.RPCTimeout,
-			})
-		}
+		resp, err := s.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{
+			Timeout: s.cfg.RPCTimeout,
+		})
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		if !errors.Is(err, core.ErrNotResponsible) && !errors.Is(err, core.ErrTimeout) &&
-			!errors.Is(err, core.ErrUnreachable) {
+		if !retryableCallErr(err) {
 			return nil, err
+		}
+		if attempt == 0 {
+			continue // a wrong optimistic guess re-resolves at once
 		}
 		// The responsible moved or died: give the ring a beat to
 		// converge before re-resolving.
@@ -695,23 +697,6 @@ func (s *Service) callResponsible(ctx context.Context, method string, req networ
 		}
 	}
 	return nil, lastErr
-}
-
-func (s *Service) serveLocal(method string, req network.Message) (network.Message, error) {
-	switch method {
-	case MethodGenTS:
-		return s.handleGenTS(req.(GenTSReq))
-	case MethodLastTS:
-		return s.handleLastTS(req.(LastTSReq))
-	case MethodGenTSBatch:
-		return s.handleBatch(req.(BatchReq), true), nil
-	case MethodLastTSBatch:
-		return s.handleBatch(req.(BatchReq), false), nil
-	case MethodRecover:
-		return s.handleRecover(req.(RecoverReq)), nil
-	default:
-		return nil, fmt.Errorf("kts: unknown local method %q", method)
-	}
 }
 
 // ---- server-side handlers ----------------------------------------------

@@ -117,7 +117,9 @@ type Endpoint interface {
 	// already done fails fast with the matching core error. Message
 	// costs are charged to the meter carried by ctx (see WithMeter).
 	// Errors from the remote handler are reconstructed so errors.Is
-	// works across the wire.
+	// works across the wire. A call to the endpoint's own address runs
+	// the handler in process: it sends no message, charges nothing to
+	// the meter, and a missing handler fails with core.ErrUnreachable.
 	Invoke(ctx context.Context, to Addr, method string, req Message, opt Call) (Message, error)
 	// Handle registers the handler for a method name. Registration is
 	// not safe to interleave with traffic; register before serving.

@@ -339,7 +339,8 @@ func (ep *Endpoint) handler(method string) network.HandlerFunc {
 // Invoke implements network.Endpoint. It must run inside a kernel
 // process. A dead or missing destination produces core.ErrTimeout after
 // the call's timeout (crash failures are indistinguishable from silence,
-// as in a real network).
+// as in a real network). A call to the endpoint's own address runs the
+// handler inline in the calling process.
 //
 // Context mapping: a context that is already done fails fast with the
 // matching core error, and a live deadline's remaining wall-clock budget
@@ -352,6 +353,15 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 	}
 	if err := network.CtxError(ctx); err != nil {
 		return nil, fmt.Errorf("simwire: %s->%s %s: %w", ep.addr, to, method, err)
+	}
+	if to == ep.addr {
+		// A self-call never touches the wire: no message, no link draw,
+		// no virtual delay.
+		h := ep.handler(method)
+		if h == nil {
+			return nil, fmt.Errorf("simwire: %s: no handler for %q: %w", ep.addr, method, core.ErrUnreachable)
+		}
+		return h(ep.addr, req)
 	}
 	n := ep.net
 	timeout := network.Patience(ctx, opt.Timeout, n.cfg.DefaultTimeout)

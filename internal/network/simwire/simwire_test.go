@@ -291,3 +291,55 @@ func TestEnvImplementsNetworkEnv(t *testing.T) {
 		t.Fatal("env rand streams must be seed-deterministic")
 	}
 }
+
+// TestSelfCallRunsInProcess: a call to the endpoint's own address runs
+// the handler inline — no message on the meter or the network, no link
+// draw, no virtual time — while a killed or closed endpoint still
+// refuses with ErrStopped and a missing handler is ErrUnreachable
+// instead of a timeout.
+func TestSelfCallRunsInProcess(t *testing.T) {
+	k := simnet.New(1)
+	n := New(k, fixedConfig())
+	a := n.NewEndpoint("a")
+	served := 0
+	a.Handle("echo", func(from network.Addr, req network.Message) (network.Message, error) {
+		if from != "a" {
+			t.Errorf("from = %s, want a", from)
+		}
+		served++
+		return echoResp{Text: "re:" + req.(echoReq).Text}, nil
+	})
+	k.Go(func() {
+		m := &network.Meter{}
+		ctx := network.WithMeter(context.Background(), m)
+		start := k.Now()
+		resp, err := a.Invoke(ctx, "a", "echo", echoReq{Text: "me"}, network.Call{})
+		if err != nil || resp.(echoResp).Text != "re:me" {
+			t.Errorf("self-call = %v, %v", resp, err)
+		}
+		if served != 1 || m.Msgs != 0 || m.Bytes != 0 || k.Now() != start || n.TotalMessages() != 0 {
+			t.Errorf("self-call: served %d, meter %+v, took %v, network carried %d msgs; want 1, zero, 0, 0",
+				served, *m, k.Now()-start, n.TotalMessages())
+		}
+		if _, err := a.Invoke(ctx, "a", "nope", echoReq{}, network.Call{}); !errors.Is(err, core.ErrUnreachable) {
+			t.Errorf("self-call to a missing handler: %v, want ErrUnreachable", err)
+		}
+		if k.Now() != start {
+			t.Errorf("missing handler took %v of virtual time, want 0", k.Now()-start)
+		}
+		n.Kill("a")
+		if _, err := a.Invoke(ctx, "a", "echo", echoReq{}, network.Call{}); !errors.Is(err, core.ErrStopped) {
+			t.Errorf("self-call on a killed endpoint: %v, want ErrStopped", err)
+		}
+		b := n.NewEndpoint("b")
+		b.Handle("echo", func(network.Addr, network.Message) (network.Message, error) { return echoResp{}, nil })
+		b.Close()
+		if _, err := b.Invoke(ctx, "b", "echo", echoReq{}, network.Call{}); !errors.Is(err, core.ErrStopped) {
+			t.Errorf("self-call on a closed endpoint: %v, want ErrStopped", err)
+		}
+		if served != 1 || m.Msgs != 0 {
+			t.Errorf("refused self-calls ran a handler or charged the meter: served %d, meter %+v", served, *m)
+		}
+	})
+	k.Run(time.Minute)
+}

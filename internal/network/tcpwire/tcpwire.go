@@ -209,13 +209,23 @@ func (ep *Endpoint) serveConn(conn net.Conn) {
 // Invoke implements network.Endpoint. The context is honored natively:
 // an already-done context fails fast, its deadline caps the socket
 // deadlines (dial, write and read), and a cancellation mid-flight
-// aborts the in-progress I/O.
+// aborts the in-progress I/O. A call to the endpoint's own address
+// runs the handler in process.
 func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, req network.Message, opt network.Call) (network.Message, error) {
 	if ep.isClosed() {
 		return nil, fmt.Errorf("tcpwire: %s: %w", ep.addr, core.ErrStopped)
 	}
 	if err := network.CtxError(ctx); err != nil {
 		return nil, fmt.Errorf("tcpwire: %s->%s %s: %w", ep.addr, to, method, err)
+	}
+	if to == ep.addr {
+		// A self-call runs the handler on the calling goroutine: no
+		// socket, no encoding, no call counted.
+		h := ep.handler(method)
+		if h == nil {
+			return nil, fmt.Errorf("tcpwire: no handler for %q: %w", method, core.ErrUnreachable)
+		}
+		return h(ep.addr, req)
 	}
 	timeout := network.Patience(ctx, opt.Timeout, DefaultTimeout)
 	ep.metrics.calls.Inc()

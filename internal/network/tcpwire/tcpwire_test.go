@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 type ping struct{ N int }
@@ -228,4 +229,46 @@ func TestRealEnvBasics(t *testing.T) {
 		t.Fatalf("sleep after close = %v", err)
 	}
 	env.Close() // idempotent
+}
+
+// TestSelfCallRunsInProcess: a call to the endpoint's own address runs
+// the handler on the calling goroutine — no socket, nothing on the
+// meter, dcdht_net_calls_total unchanged — while a closed endpoint
+// still refuses with ErrStopped and a missing handler is
+// ErrUnreachable, as over the wire.
+func TestSelfCallRunsInProcess(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, err := ListenWith("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	served := 0
+	a.Handle("ping", func(from network.Addr, req network.Message) (network.Message, error) {
+		if from != a.Addr() {
+			t.Errorf("from = %s, want %s", from, a.Addr())
+		}
+		served++
+		return pong{N: req.(ping).N + 1}, nil
+	})
+	calls := func() float64 { return reg.Snapshot().Get("dcdht_net_calls_total").Total() }
+	m := &network.Meter{}
+	ctx := network.WithMeter(context.Background(), m)
+	resp, err := a.Invoke(ctx, a.Addr(), "ping", ping{N: 1}, network.Call{})
+	if err != nil || resp.(pong).N != 2 {
+		t.Fatalf("self-call = %v, %v", resp, err)
+	}
+	if served != 1 || m.Msgs != 0 || m.Bytes != 0 || calls() != 0 {
+		t.Errorf("self-call: served %d, meter %+v, calls_total %v; want 1, zero, 0", served, *m, calls())
+	}
+	if _, err := a.Invoke(ctx, a.Addr(), "nope", ping{}, network.Call{}); !errors.Is(err, core.ErrUnreachable) {
+		t.Errorf("self-call to a missing handler: %v, want ErrUnreachable", err)
+	}
+	a.Close()
+	if _, err := a.Invoke(ctx, a.Addr(), "ping", ping{}, network.Call{}); !errors.Is(err, core.ErrStopped) {
+		t.Errorf("self-call on a closed endpoint: %v, want ErrStopped", err)
+	}
+	if served != 1 || m.Msgs != 0 || calls() != 0 {
+		t.Errorf("refused self-calls: served %d, meter %+v, calls_total %v", served, *m, calls())
+	}
 }

@@ -42,7 +42,7 @@ type Phase struct {
 
 // Phase names used by the instrumented layers.
 const (
-	PhaseLookup = "lookup" // DHT lookup round trips (chord.Lookup)
+	PhaseLookup = "lookup" // DHT lookup round trips (every ring's Lookup)
 	PhaseProbe  = "probe"  // replica probe round trips (ums GetH / brk fetches)
 	PhaseKTS    = "kts"    // timestamping round trips (GenTS / LastTS)
 )

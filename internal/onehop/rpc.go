@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // Protocol method names.
@@ -206,15 +207,28 @@ func (n *Node) registerHandlers() {
 // around dead peers by eviction, sharing the death observations with
 // every subsequent probe. hops counts every remote probe made,
 // including probes of peers that turned out dead or stale, so the
-// lookup figure reports what the network actually carried.
+// lookup figure reports what the network actually carried. Under a
+// dht.Optimistic context the table's owner is the answer, unprobed:
+// zero messages, and the caller's target verifies ownership.
 func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error) {
 	if !n.Alive() {
 		return dht.NodeRef{}, 0, core.ErrStopped
 	}
 	n.metrics.lookups.Inc()
+	start := n.env.Now()
+	defer func() { obs.PhasesFrom(ctx).Add(obs.PhaseLookup, n.env.Now()-start) }()
 	if n.OwnsID(id) {
 		n.metrics.hops.ObserveValue(0)
 		return n.self, 0, nil
+	}
+	if dht.IsOptimistic(ctx) {
+		n.mu.Lock()
+		owner, ok := n.successorOfLocked(id, nil)
+		n.mu.Unlock()
+		if ok {
+			n.metrics.hops.ObserveValue(0)
+			return owner, 0, nil
+		}
 	}
 	hops := 0
 	// dead: probes that errored — evicted locally and shared on the
